@@ -4,11 +4,12 @@ The spectral checks verify the comb structure of family B (shared null set,
 flat magnitude on the common support); the distinctness check proves no set
 member is a phase-rotated cyclic shift of another, in exact integer
 arithmetic; ``certify`` bundles everything into one JSON-able certificate.
+It is the only builder of certificates: claims, closed-form ratio and
+null set come from the family table ``constructions.FAMILIES``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 from typing import Optional
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import bounds
 from .ambiguity import dft, sidelobe_stats, verify_zcz, zero_tolerance
+from .constructions import SpectralNullSet, lookup, omega_for_b
 from .core import DelayDopplerZone, SequenceSet
 
 __all__ = [
@@ -32,56 +34,6 @@ __all__ = [
 def spectral_tolerance(length: int) -> float:
     """Default per-bin spectral tolerance; unitary DFT error scales with sqrt(L)."""
     return 1e-9 * sqrt(length)
-
-
-@dataclass(frozen=True)
-class SpectralNullSet:
-    """Forbidden frequency indices on which a whole set must carry no energy."""
-
-    length: int
-    forbidden: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.forbidden))
-        if len(set(idx)) != len(idx):
-            raise ValueError("forbidden indices must be pairwise distinct")
-        if idx and (idx[0] < 0 or idx[-1] >= self.length):
-            raise ValueError(f"forbidden indices must lie in [0, {self.length})")
-        object.__setattr__(self, "forbidden", idx)
-
-    @property
-    def size(self) -> int:
-        return len(self.forbidden)
-
-
-def omega_for_b(k: int, n: int, p_off: int) -> SpectralNullSet:
-    """Null set of the comb construction with parameters (K, N, P).
-
-    The union {(KN+P)*alpha + K*beta + gamma : alpha, beta in Z_N,
-    gamma in Z*_K} with {KN + (KN+P)*alpha + beta : alpha in Z_N,
-    beta in Z_P}; its complement is exactly the N^2 bins hit by K*t0
-    mod (KN+P). Cardinality N^2*(K-1) + N*P.
-    """
-    if k < 1 or n < 1 or p_off < 0:
-        raise ValueError("K, N must be positive and P nonnegative")
-    if p_off >= k:
-        raise ValueError(f"P < K required, got P = {p_off}, K = {k}")
-    q = k * n + p_off
-    length = n * q
-    first = {
-        q * alpha + k * beta + gamma
-        for alpha in range(n)
-        for beta in range(n)
-        for gamma in range(1, k)
-    }
-    second = {k * n + q * alpha + beta for alpha in range(n) for beta in range(p_off)}
-    forbidden = first | second
-    expected = n * n * (k - 1) + n * p_off
-    if len(forbidden) != expected or (first & second):
-        raise RuntimeError(
-            f"null-set branches overlap: |union| = {len(forbidden)}, expected {expected}"
-        )
-    return SpectralNullSet(length, tuple(sorted(forbidden)))
 
 
 def verify_spectral_null(
@@ -153,135 +105,100 @@ def verify_cyclically_distinct(
     return True, None
 
 
-def _claims_from_provenance(prov: dict) -> dict:
-    family = prov.get("family")
-    claims: dict = {}
-    if family == "a":
-        m, n, k = prov["M"], prov["N"], prov["K"]
-        claims = {
-            "zone": {"zx": n // k, "zy": k},
-            "theta_max": 0.0,
-            "zaz_ratio": bounds.closed_form_ratio(prov),
-            "cyclically_distinct": True,
-        }
-        if k == 1:
-            claims["zcz_width"] = n
-            claims["tfm_optimal"] = True
-    elif family == "b":
-        k, n, p_off = prov["K"], prov["N"], prov["P"]
-        claims = {
-            "zone": {"zx": n, "zy": k},
-            "theta_max": 0.0,
-            "zaz_ratio": bounds.closed_form_ratio(prov),
-            "cyclically_distinct": True,
-            "spectral_null_count": n * n * (k - 1) + n * p_off,
-            "comb_magnitude": sqrt(k + p_off / n),
-        }
-    elif family == "c":
-        p = prov["p"]
-        claims = {
-            "zone": {"zx": p - 1, "zy": p},
-            "theta_max": float(p),
-            "rho_laz": bounds.closed_form_ratio(prov),
-            "cyclically_distinct": True,
-        }
-    return claims
-
-
 def certify(
     sset: SequenceSet,
     zone: Optional[DelayDopplerZone] = None,
     tol: Optional[float] = None,
     spectral_tol: Optional[float] = None,
+    zcz: Optional[int] = None,
 ) -> dict:
     """Measure a set against the claims implied by its provenance.
 
     Returns a certificate dict with keys ``claims``, ``measured``,
     ``verdicts``, ``tolerances``, ``witnesses``. For externally loaded sets
-    (no construction claims) an explicit ``zone`` is required and the
-    certificate carries measurements only; ``verdicts["claims_hold"]`` is
-    then vacuously true.
+    (no construction claims) an explicit ``zone`` or ``zcz`` is required and
+    the certificate carries measurements only. ``zcz`` checks a ZCZ of that
+    width in place of any claimed one; with no zone it is the whole check.
     """
     prov = sset.provenance
-    claims = _claims_from_provenance(prov)
+    family = lookup(prov)
+    args = family.args(prov) if family else ()
+    claims = family.claims(prov) if family else {}
     if tol is None:
         tol = zero_tolerance(sset.length)
-    if spectral_tol is None:
-        spectral_tol = spectral_tolerance(sset.length)
 
-    claimed_zone = None
-    if "zone" in claims:
-        claimed_zone = DelayDopplerZone(claims["zone"]["zx"], claims["zone"]["zy"])
+    claimed_zone = DelayDopplerZone(**claims["zone"]) if claims else None
     scan_zone = zone or claimed_zone
-    if scan_zone is None:
-        raise ValueError("set has no zone claims; an explicit zone is required")
+    if scan_zone is None and zcz is None:
+        raise ValueError("set carries no construction claims; pass a zone or a ZCZ width")
 
-    stats = sidelobe_stats(sset, scan_zone)
-    distinct, distinct_witness = verify_cyclically_distinct(sset)
-
-    measured: dict = {
-        "zone": {"zx": scan_zone.zx, "zy": scan_zone.zy},
-        "theta_auto": stats.theta_auto,
-        "theta_cross": stats.theta_cross,
-        "theta_max": stats.theta_max,
-        "argmax": list(stats.argmax_location) if stats.argmax_location else None,
-        "cyclically_distinct": distinct,
-    }
-
+    measured: dict = {}
     witnesses: list[dict] = []
     verdicts: dict = {}
+    tolerances = {"ambiguity_zero": tol}
 
-    zone_matches_claim = claimed_zone is not None and scan_zone == claimed_zone
-    if zone_matches_claim:
-        if claims["theta_max"] == 0.0:
-            ok = stats.theta_max <= tol
-        else:
+    if scan_zone is not None:
+        if spectral_tol is None:
+            spectral_tol = spectral_tolerance(sset.length)
+        tolerances["spectral"] = spectral_tol
+        stats = sidelobe_stats(sset, scan_zone)
+        distinct, distinct_witness = verify_cyclically_distinct(sset)
+        measured.update(
+            zone={"zx": scan_zone.zx, "zy": scan_zone.zy},
+            theta_auto=stats.theta_auto,
+            theta_cross=stats.theta_cross,
+            theta_max=stats.theta_max,
+            argmax=list(stats.argmax_location) if stats.argmax_location else None,
+            cyclically_distinct=distinct,
+        )
+
+        if scan_zone == claimed_zone:
             ok = abs(stats.theta_max - claims["theta_max"]) <= tol
-        verdicts["zone_claim"] = ok
-        if not ok and stats.argmax_location:
-            witnesses.append(
-                {
-                    "kind": "ambiguity_peak",
-                    "location": list(stats.argmax_location),
-                    "magnitude": stats.theta_max,
-                }
-            )
+            verdicts["zone_claim"] = ok
+            if not ok and stats.argmax_location:
+                witnesses.append(
+                    {
+                        "kind": "ambiguity_peak",
+                        "location": list(stats.argmax_location),
+                        "magnitude": stats.theta_max,
+                    }
+                )
 
-    if "cyclically_distinct" in claims:
-        verdicts["cyclically_distinct"] = distinct
-        if not distinct:
-            witnesses.append(
-                {"kind": "cyclic_equivalence", "pair_and_shift": list(distinct_witness)}
-            )
+        if "cyclically_distinct" in claims:
+            verdicts["cyclically_distinct"] = distinct
+            if not distinct:
+                witnesses.append(
+                    {"kind": "cyclic_equivalence", "pair_and_shift": list(distinct_witness)}
+                )
 
-    if prov.get("family") == "b":
-        k, n, p_off = prov["K"], prov["N"], prov["P"]
-        omega = omega_for_b(k, n, p_off)
-        verdicts["spectral_null"] = verify_spectral_null(sset, omega, spectral_tol)
-        verdicts["comb_magnitude"] = verify_comb_magnitude(sset, k, n, p_off, spectral_tol)
-        measured["spectral_null_count"] = omega.size
+        if family is not None and family.null_set is not None:
+            omega = family.null_set(*args)
+            verdicts["spectral_null"] = verify_spectral_null(sset, omega, spectral_tol)
+            verdicts["comb_magnitude"] = verify_comb_magnitude(sset, *args, spectral_tol)
+            measured["spectral_null_count"] = omega.size
 
+        report = bounds.optimality_report(
+            sset.length, sset.size, scan_zone.zx, scan_zone.zy, stats.theta_max,
+            family_factor=family.ratio(*args) if family else None,
+            zero_tol=tol,
+        )
+        measured["optimality"] = report.to_dict()
+
+    zcz_width = claims.get("zcz_width") if zcz is None else zcz
+    if zcz is not None:
+        measured["zcz_width_checked"] = zcz
+    if zcz_width is not None:
+        verdicts["zcz"] = verify_zcz(sset, zcz_width, tol)
     if "zcz_width" in claims:
-        verdicts["zcz"] = verify_zcz(sset, claims["zcz_width"], tol)
         verdicts["tfm_optimal"] = bounds.tfm_optimal(
             sset.length, sset.size, claims["zcz_width"]
         )
-
-    # Bound classification over the scanned zone.
-    family_factor = None
-    if prov.get("family") in ("a", "b", "c"):
-        family_factor = bounds.closed_form_ratio(prov)
-    report = bounds.optimality_report(
-        sset.length, sset.size, scan_zone.zx, scan_zone.zy,
-        stats.theta_max, family_factor=family_factor, zero_tol=tol,
-    )
-    measured["optimality"] = report.to_dict()
 
     verdicts["claims_hold"] = all(v for v in verdicts.values())
     return {
         "claims": claims,
         "measured": measured,
         "verdicts": verdicts,
-        "tolerances": {"ambiguity_zero": tol, "spectral": spectral_tol},
+        "tolerances": tolerances,
         "witnesses": witnesses,
     }

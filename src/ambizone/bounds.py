@@ -10,10 +10,10 @@ parameter table for the prime-mapping family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, sqrt
+from math import sqrt
 from typing import Iterable, Optional
 
-from .constructions import _is_odd_prime
+from .constructions import FAMILIES, lookup
 
 __all__ = [
     "laz_lower_bound",
@@ -85,17 +85,10 @@ def closed_form_ratio(provenance: dict) -> float:
     Family B: 1 - P/(N*K + P)       (zone-area ratio; -> 1 as N*K grows)
     Family C: (1 + 1/(p-1)) * sqrt(1 - 1/(p*(p-1)))   (peak-magnitude ratio; -> 1)
     """
-    family = provenance.get("family")
-    if family == "a":
-        n, k = provenance["N"], provenance["K"]
-        return (k / n) * floor(n / k)
-    if family == "b":
-        n, k, p_off = provenance["N"], provenance["K"], provenance["P"]
-        return 1.0 - p_off / (n * k + p_off)
-    if family == "c":
-        p = provenance["p"]
-        return (1.0 + 1.0 / (p - 1)) * sqrt(1.0 - 1.0 / (p * (p - 1)))
-    raise ValueError(f"no closed-form ratio for provenance family {family!r}")
+    family = lookup(provenance)
+    if family is None:
+        raise ValueError("no closed-form ratio for an external set")
+    return family.ratio(*family.args(provenance))
 
 
 @dataclass(frozen=True)
@@ -186,18 +179,11 @@ def table2(p_list: Iterable[int]) -> list[Table2Row]:
     The zone column uses the printed half-width convention
     ``(p-1,p-1)x(p,p)`` for the open rectangle (-p+1, p-1) x (-p, p).
     """
+    family = FAMILIES["c"]
     rows = []
     for p in p_list:
-        if not _is_odd_prime(p):
-            raise ValueError(f"{p} is not an odd prime")
-        rows.append(
-            Table2Row(
-                p=p,
-                length=p * (p - 1),
-                set_size=p,
-                zone=f"({p - 1},{p - 1})x({p},{p})",
-                theta_max=p,
-                rho=closed_form_ratio({"family": "c", "p": p}),
-            )
-        )
+        family.check(p)
+        (set_size, length, _), (zx, zy, _) = family.shape(p), family.zone(p)
+        zone = f"({zx},{zx})x({zy},{zy})"
+        rows.append(Table2Row(p, length, set_size, zone, p, family.ratio(p)))
     return rows

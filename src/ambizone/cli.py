@@ -1,8 +1,10 @@
 """Command-line front end: generate, analyze, verify, and export sequence sets.
 
 Exit codes: 0 on success (all claims hold), 1 when a verified claim fails,
-2 on usage or parameter-validation errors. The environment variable
-``ZAZ_TOL`` overrides the default zero tolerance for ``verify``.
+2 on usage errors, malformed input and invalid parameters, including a
+provenance that the family table (``constructions.FAMILIES``) rejects at
+load. An input of ``-`` reads stdin. The environment variable ``ZAZ_TOL``
+overrides the default zero tolerance for ``verify``.
 """
 
 from __future__ import annotations
@@ -12,18 +14,10 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from math import gcd
 
 from . import analysis, bounds
-from .ambiguity import af_surface, dft, verify_zcz, zero_tolerance
-from .constructions import (
-    construct_a,
-    construct_b,
-    construct_c,
-    exp_mapping,
-    power_permutation,
-    _is_odd_prime,
-)
+from .ambiguity import af_surface, dft
+from .constructions import FAMILIES, _is_odd_prime, lookup
 from .core import DelayDopplerZone, load_set, save_set
 
 
@@ -36,17 +30,8 @@ def _open_out(path):
             yield f
 
 
-def _default_sigma_exp(n: int) -> int:
-    """Smallest valid power-map exponent for an odd prime modulus."""
-    if not _is_odd_prime(n):
-        raise ValueError(
-            f"N = {n}: built-in permutations require an odd prime N; "
-            "supply a custom permutation through the library API"
-        )
-    for a in range(2, n):
-        if gcd(a, n - 1) == 1:
-            return a
-    raise ValueError(f"no valid permutation exponent exists for N = {n}")
+def _load(path):
+    return load_set(sys.stdin if path == "-" else path)
 
 
 def _env_tol(args_tol):
@@ -57,22 +42,14 @@ def _env_tol(args_tol):
 
 
 def cmd_gen(args) -> int:
-    if args.family == "a":
-        exp = args.sigma_exp if args.sigma_exp is not None else _default_sigma_exp(args.N)
-        sigma = power_permutation(args.N, exp)
-        sset = construct_a(args.M, args.N, args.K, sigma)
-    elif args.family == "b":
-        sset = construct_b(args.K, args.N, args.P, relaxed=args.relaxed)
-    else:
-        pi = exp_mapping(args.p, args.alpha)
-        sset = construct_c(args.p, pi)
+    sset = FAMILIES[args.family].gen(args)
     with _open_out(args.output) as f:
         save_set(sset, f)
     return 0
 
 
 def cmd_af(args) -> int:
-    sset = load_set(args.input)
+    sset = _load(args.input)
     n = args.seq
     n2 = args.seq2 if args.seq2 is not None else n
     if not (0 <= n < sset.size and 0 <= n2 < sset.size):
@@ -90,34 +67,9 @@ def cmd_af(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sset = load_set(args.input)
+    sset = _load(args.input)
     zone = DelayDopplerZone(*args.zone) if args.zone else None
-    has_claims = sset.provenance.get("family") in ("a", "b", "c")
-    if not has_claims and zone is None and args.zcz is None:
-        raise ValueError(
-            "set carries no construction claims; pass --zone ZX ZY or --zcz Z"
-        )
-    tol = _env_tol(args.tol)
-
-    if zone is None and not has_claims:
-        # --zcz only: correlation-zone check without an ambiguity scan.
-        effective_tol = tol if tol is not None else zero_tolerance(sset.length)
-        ok = verify_zcz(sset, args.zcz, effective_tol)
-        cert = {
-            "claims": {},
-            "measured": {"zcz_width_checked": args.zcz},
-            "verdicts": {"zcz": ok, "claims_hold": ok},
-            "tolerances": {"ambiguity_zero": effective_tol},
-            "witnesses": [],
-        }
-    else:
-        cert = analysis.certify(sset, zone=zone, tol=tol)
-        if args.zcz is not None:
-            ok = verify_zcz(sset, args.zcz, tol)
-            cert["verdicts"]["zcz"] = ok
-            cert["measured"]["zcz_width_checked"] = args.zcz
-            cert["verdicts"]["claims_hold"] = cert["verdicts"]["claims_hold"] and ok
-
+    cert = analysis.certify(sset, zone=zone, tol=_env_tol(args.tol), zcz=args.zcz)
     with _open_out(args.output) as f:
         json.dump(cert, f, indent=2)
         f.write("\n")
@@ -125,19 +77,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    sset = load_set(args.input)
-    is_b = sset.provenance.get("family") == "b"
+    sset = _load(args.input)
+    family = lookup(sset.provenance)
     omega = None
-    if is_b:
-        prov = sset.provenance
-        omega = set(analysis.omega_for_b(prov["K"], prov["N"], prov["P"]).forbidden)
+    if family is not None and family.null_set is not None:
+        omega = set(family.null_set(*family.args(sset.provenance)).forbidden)
     with _open_out(args.output) as f:
-        f.write("seq,i,mag" + (",in_omega\n" if is_b else "\n"))
+        f.write("seq,i,mag" + (",in_omega\n" if omega is not None else "\n"))
         for n, s in enumerate(sset.sequences):
             mags = dft(s).magnitudes()
             for i in range(sset.length):
                 row = f"{n},{i},{float(mags[i])!r}"
-                if is_b:
+                if omega is not None:
                     row += f",{1 if i in omega else 0}"
                 f.write(row + "\n")
     return 0
@@ -176,23 +127,14 @@ def cmd_bounds(args) -> int:
         return 0
 
     if args.input is not None:
-        sset = load_set(args.input)
-        prov = sset.provenance
-        family = prov.get("family")
-        if family == "a":
-            zx, zy = prov["N"] // prov["K"], prov["K"]
-            theta = 0.0
-        elif family == "b":
-            zx, zy = prov["N"], prov["K"]
-            theta = 0.0
-        elif family == "c":
-            zx, zy = prov["p"] - 1, prov["p"]
-            theta = float(prov["p"])
-        else:
+        sset = _load(args.input)
+        family = lookup(sset.provenance)
+        if family is None:
             raise ValueError("input file has no construction provenance; use explicit flags")
-        L, N = sset.length, sset.size
-        family_factor = bounds.closed_form_ratio(prov)
-        report = bounds.optimality_report(L, N, zx, zy, theta, family_factor=family_factor)
+        params = family.args(sset.provenance)
+        report = bounds.optimality_report(
+            sset.length, sset.size, *family.zone(*params), family_factor=family.ratio(*params),
+        )
     else:
         required = (args.L, args.N, args.Zx, args.Zy)
         if any(x is None for x in required):

@@ -1,4 +1,4 @@
-"""Generators for the three unimodular sequence families.
+"""Generators for the three unimodular sequence families, and their table.
 
 Family A: MN sequences of length M*N^2 built from a non-affine permutation
 of Z_N; zero ambiguity over (-floor(N/K), floor(N/K)) x (-K, K).
@@ -8,13 +8,15 @@ ambiguity over (-N, N) x (-K, K), enforced by successive frequency nulls.
 
 Family C: p sequences of length p*(p-1) from a shift-injective mapping
 Z_{p-1} -> Z_p; ambiguity magnitudes bounded by p near the origin.
+
+``FAMILIES``, at the foot, holds everything a family's parameters imply.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from math import gcd, lcm
-from typing import Optional
+from math import floor, gcd, lcm, sqrt
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -237,17 +239,11 @@ def construct_a(m: int, n: int, k: int, sigma: PermutationSigma) -> SequenceSet:
     w_N^{K*t2*t0 + n0*sigma(t0)} * w_M^{n1*t1}; phases are stored exactly
     over the common order lcm(N, M).
     """
-    if m < 1 or n < 1 or k < 1:
-        raise ValueError("M, N, K must be positive integers")
-    if k >= n:
-        raise ValueError(f"K < N required, got K = {k}, N = {n}")
-    if gcd(k, n) != 1:
-        raise ValueError(f"gcd(K, N) must be 1, got gcd({k}, {n}) = {gcd(k, n)}")
+    FAMILIES["a"].check(m, n, k)
     if sigma.n != n:
         raise ValueError(f"sigma modulus mismatch: permutation over Z_{sigma.n}, N = {n}")
 
-    L = m * n * n
-    D = lcm(n, m)
+    _, L, D = FAMILIES["a"].shape(m, n, k)
     t = np.arange(L, dtype=np.int64)
     t2 = t // (m * n)
     t1 = (t // n) % m
@@ -270,10 +266,7 @@ def construct_b(k: int, n: int, p_off: int, relaxed: bool = False) -> SequenceSe
     stored exactly over the order N*(KN+P). Requires P < K; the coprimality
     gcd(P, N*K) = 1 is enforced unless ``relaxed`` is set.
     """
-    if k < 1 or n < 1 or p_off < 1:
-        raise ValueError("K, N, P must be positive integers")
-    if p_off >= k:
-        raise ValueError(f"P < K required, got P = {p_off}, K = {k}")
+    FAMILIES["b"].check(k, n, p_off)
     if not relaxed and gcd(p_off, n * k) != 1:
         raise ValueError(
             f"gcd(P, N*K) must be 1, got gcd({p_off}, {n * k}) = {gcd(p_off, n * k)}"
@@ -281,7 +274,7 @@ def construct_b(k: int, n: int, p_off: int, relaxed: bool = False) -> SequenceSe
         )
 
     q = k * n + p_off
-    L = n * q
+    _, L, _ = FAMILIES["b"].shape(k, n, p_off)
     t = np.arange(L, dtype=np.int64)
     t1 = t // n
     t0 = t % n
@@ -299,8 +292,7 @@ def construct_c(p: int, pi: MappingPi, validate: Optional[bool] = None) -> Seque
     Element t of sequence number ``n`` is w_p^{t1*pi(t0) + n*t0}. The
     mapping's shift-injectivity is verified by default for p <= BRUTE_FORCE_CAP.
     """
-    if not _is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+    FAMILIES["c"].check(p)
     if pi.p != p:
         raise ValueError(f"mapping modulus mismatch: mapping for p = {pi.p}, requested {p}")
     if validate is None:
@@ -312,7 +304,7 @@ def construct_c(p: int, pi: MappingPi, validate: Optional[bool] = None) -> Seque
                 f"mapping fails the shift-injectivity condition at (a, b) = {witness}"
             )
 
-    L = p * (p - 1)
+    _, L, _ = FAMILIES["c"].shape(p)
     t = np.arange(L, dtype=np.int64)
     t1 = t // (p - 1)
     t0 = t % (p - 1)
@@ -323,3 +315,162 @@ def construct_c(p: int, pi: MappingPi, validate: Optional[bool] = None) -> Seque
         seqs.append(PhaseSequence(p, tuple(int(x) for x in phases)))
     provenance = {"family": "c", "p": p, "pi": list(pi.table)}
     return SequenceSet(tuple(seqs), provenance)
+
+
+@dataclass(frozen=True)
+class SpectralNullSet:
+    """Forbidden frequency indices on which a whole set must carry no energy."""
+
+    length: int
+    forbidden: tuple[int, ...]
+
+    def __post_init__(self):
+        idx = tuple(sorted(int(i) for i in self.forbidden))
+        if len(set(idx)) != len(idx):
+            raise ValueError("forbidden indices must be pairwise distinct")
+        if idx and (idx[0] < 0 or idx[-1] >= self.length):
+            raise ValueError(f"forbidden indices must lie in [0, {self.length})")
+        object.__setattr__(self, "forbidden", idx)
+
+    @property
+    def size(self) -> int:
+        return len(self.forbidden)
+
+
+def omega_for_b(k: int, n: int, p_off: int) -> SpectralNullSet:
+    """Null set of the comb construction with parameters (K, N, P).
+
+    The union {(KN+P)*alpha + K*beta + gamma : alpha, beta in Z_N,
+    gamma in Z*_K} with {KN + (KN+P)*alpha + beta : alpha in Z_N,
+    beta in Z_P}; its complement is exactly the N^2 bins hit by K*t0
+    mod (KN+P). Cardinality N^2*(K-1) + N*P.
+    """
+    if k < 1 or n < 1 or p_off < 0:
+        raise ValueError("K, N must be positive and P nonnegative")
+    if p_off >= k:
+        raise ValueError(f"P < K required, got P = {p_off}, K = {k}")
+    q = k * n + p_off
+    length = n * q
+    first = {
+        q * alpha + k * beta + gamma
+        for alpha in range(n)
+        for beta in range(n)
+        for gamma in range(1, k)
+    }
+    second = {k * n + q * alpha + beta for alpha in range(n) for beta in range(p_off)}
+    forbidden = first | second
+    expected = n * n * (k - 1) + n * p_off
+    if len(forbidden) != expected or (first & second):
+        raise RuntimeError(
+            f"null-set branches overlap: |union| = {len(forbidden)}, expected {expected}"
+        )
+    return SpectralNullSet(length, tuple(sorted(forbidden)))
+
+
+def _require(*rules: tuple[bool, str]) -> None:
+    """Raise ValueError with the message of the first rule that does not hold."""
+    for ok, message in rules:
+        if not ok:
+            raise ValueError(message)
+
+
+def _gen_a(args) -> SequenceSet:
+    exp = args.sigma_exp
+    if exp is None:  # the smallest exponent that power_permutation accepts
+        exp = next((a for a in range(2, args.N) if gcd(a, args.N - 1) == 1), None)
+        _require((exp is not None and _is_odd_prime(args.N), f"N = {args.N}: built-in"
+                  " permutations need an odd prime N > 3; pass a custom one to construct_a"))
+    return construct_a(args.M, args.N, args.K, power_permutation(args.N, exp))
+
+
+@dataclass(frozen=True)
+class Family:
+    """What a family's integer parameters (``params``, in constructor order) imply.
+    All callables but ``gen`` (parsed CLI arguments) take the parameter values;
+    ``shape`` gives the set's (N, L, D), ``zone`` its claimed (Zx, Zy, theta_max)."""
+
+    params: tuple[str, ...]
+    check: Callable[..., None]
+    shape: Callable[..., tuple[int, int, int]]
+    zone: Callable[..., tuple[int, int, float]]
+    ratio: Callable[..., float]
+    gen: Callable[..., SequenceSet]
+    extra_claims: Callable[..., dict] = lambda *args: {}
+    null_set: Optional[Callable[..., SpectralNullSet]] = None
+
+    def args(self, provenance: dict) -> tuple:
+        return tuple(provenance.get(key) for key in self.params)
+
+    def claims(self, provenance: dict) -> dict:
+        args = self.args(provenance)
+        zx, zy, peak = self.zone(*args)
+        return {
+            "zone": {"zx": zx, "zy": zy},
+            "theta_max": peak,
+            "rho_laz" if peak else "zaz_ratio": self.ratio(*args),
+            "cyclically_distinct": True,
+            **self.extra_claims(*args),
+        }
+
+
+FAMILIES = {
+    "a": Family(
+        params=("M", "N", "K"),
+        check=lambda m, n, k: _require(
+            (m >= 1 and n >= 1 and k >= 1, "M, N, K must be positive integers"),
+            (k < n, f"K < N required, got K = {k}, N = {n}"),
+            (gcd(k, n) == 1, f"gcd(K, N) must be 1, got gcd({k}, {n}) = {gcd(k, n)}"),
+        ),
+        shape=lambda m, n, k: (m * n, m * n * n, lcm(n, m)),
+        zone=lambda m, n, k: (n // k, k, 0.0),
+        ratio=lambda m, n, k: (k / n) * floor(n / k),
+        extra_claims=lambda m, n, k: {"zcz_width": n, "tfm_optimal": True} if k == 1 else {},
+        gen=_gen_a,
+    ),
+    "b": Family(
+        params=("K", "N", "P"),
+        check=lambda k, n, p_off: _require(
+            (k >= 1 and n >= 1 and p_off >= 1, "K, N, P must be positive integers"),
+            (p_off < k, f"P < K required, got P = {p_off}, K = {k}"),
+        ),
+        shape=lambda k, n, p_off: (n, n * (k * n + p_off), n * (k * n + p_off)),
+        zone=lambda k, n, p_off: (n, k, 0.0),
+        ratio=lambda k, n, p_off: 1.0 - p_off / (n * k + p_off),
+        extra_claims=lambda k, n, p_off: {
+            "spectral_null_count": n * n * (k - 1) + n * p_off,
+            "comb_magnitude": sqrt(k + p_off / n),
+        },
+        null_set=omega_for_b,
+        gen=lambda args: construct_b(args.K, args.N, args.P, relaxed=args.relaxed),
+    ),
+    "c": Family(
+        params=("p",),
+        check=lambda p: _require((_is_odd_prime(p), f"{p} is not an odd prime")),
+        shape=lambda p: (p, p * (p - 1), p),
+        zone=lambda p: (p - 1, p, float(p)),
+        ratio=lambda p: (1.0 + 1.0 / (p - 1)) * sqrt(1.0 - 1.0 / (p * (p - 1))),
+        gen=lambda args: construct_c(args.p, exp_mapping(args.p, args.alpha)),
+    ),
+}
+
+
+def lookup(provenance: dict) -> Optional[Family]:
+    """The entry of the family a provenance names; None for an external set."""
+    name = provenance.get("family", "external")
+    if name != "external" and (not isinstance(name, str) or name not in FAMILIES):
+        raise ValueError(f"unknown family {name!r} in provenance")
+    return FAMILIES.get(name)
+
+
+def check_provenance(provenance: dict, size: int, length: int, denom: int) -> None:
+    """Raise ValueError unless a known family's integer parameters imply the set's
+    (N, L, D), checked first so that no huge p reaches a primality test, and meet
+    the constructor's precondition. Sigma, pi and gcd(P, N*K) are left to certify."""
+    family = lookup(provenance)
+    if family is None:
+        return
+    named = dict(zip(family.params, family.args(provenance)))
+    _require((all(type(v) is int for v in named.values()), f"parameters {named} must be integers"))
+    implied, actual = family.shape(*named.values()), (size, length, denom)
+    _require((implied == actual, f"parameters {named} imply (N, L, D) = {implied}, not {actual}"))
+    family.check(*named.values())

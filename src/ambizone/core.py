@@ -239,19 +239,22 @@ def set_to_dict(sset: SequenceSet) -> dict:
 
 
 def set_from_dict(data: dict) -> SequenceSet:
+    """Parse a set document, raising ValueError on anything malformed,
+    including a provenance that ``constructions.check_provenance`` rejects."""
+    from .constructions import check_provenance  # deferred: it imports this module
+
     try:
         length = int(data["length"])
         denom = int(data["denom"])
-        rows = data["sequences"]
-    except (KeyError, TypeError) as exc:
+        rows = [list(row) for row in data["sequences"]]
+        provenance = {"family": "external", **(data.get("provenance") or {})}
+        seqs = [PhaseSequence(denom, tuple(int(p) for p in row)) for row in rows]
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed sequence-set document: {exc}") from exc
-    provenance = dict(data.get("provenance") or {"family": "external"})
-    provenance.setdefault("family", "external")
-    seqs = []
     for k, row in enumerate(rows):
         if len(row) != length:
             raise ValueError(f"sequence {k} has {len(row)} phases, header says {length}")
-        seqs.append(PhaseSequence(denom, tuple(int(p) for p in row)))
+    check_provenance(provenance, len(seqs), length, denom)
     return SequenceSet(tuple(seqs), provenance)
 
 

@@ -1,10 +1,21 @@
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ambizone import load_set
+from ambizone import construct_a, construct_b, construct_c, exp_mapping, load_set
+from ambizone import power_permutation, set_to_dict
 from ambizone.cli import main
 from golden import GOLDEN_P5_ALPHA3, REFERENCE_RHO_ROWS
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+READERS = ("verify", "bounds", "spectrum")
 
 
 def run(argv):
@@ -230,3 +241,145 @@ class TestRoundTrip:
         assert cert["verdicts"]["zone_claim"]  # the peak claim still holds
         assert not cert["verdicts"]["cyclically_distinct"]
         assert cert["witnesses"][0]["pair_and_shift"] == [0, 1, 4]
+
+
+class TestStdinInput:
+    def test_gen_piped_into_verify(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+        cli = [sys.executable, "-m", "ambizone.cli"]
+        gen = subprocess.Popen(cli + ["gen", "b", "--K", "2", "--N", "7", "--P", "1"],
+                               stdout=subprocess.PIPE, env=env)
+        verify = subprocess.run(cli + ["verify", "-"], stdin=gen.stdout,
+                                capture_output=True, env=env, timeout=120)
+        gen.stdout.close()
+        assert gen.wait(timeout=120) == 0
+        assert verify.returncode == 0, verify.stderr
+        assert json.loads(verify.stdout)["verdicts"]["claims_hold"]
+
+    def test_dash_reads_stdin_for_af_spectrum_bounds(self, set_files, monkeypatch, capsys):
+        doc = open(set_files["c"]).read()
+        for argv in (["af", "-", "--seq", "0", "--tau-range", "0", "1", "--v-range", "0", "1"],
+                     ["spectrum", "-"], ["bounds", "-", "--format", "json"]):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+            capsys.readouterr()
+            assert run(argv) == 0, argv
+        assert json.loads(capsys.readouterr().out)["verdict"] == "asymptotic"
+
+
+def _edited(src, tmp_path, edit):
+    doc = json.load(open(src))
+    edit(doc)
+    path = str(tmp_path / "edited.json")
+    json.dump(doc, open(path, "w"))
+    return path
+
+
+class TestProvenanceValidatedAtLoad:
+    def test_family_b_without_k_exits_2(self, set_files, tmp_path, capsys):
+        path = _edited(set_files["b"], tmp_path, lambda d: d["provenance"].pop("K"))
+        for cmd in READERS:
+            assert run([cmd, path]) == 2, cmd
+            assert "'K'" in capsys.readouterr().err
+
+    def test_non_prime_p_exits_2(self, set_files, tmp_path, capsys):
+        path = _edited(set_files["b"], tmp_path,
+                       lambda d: d.update(provenance={"family": "c", "p": 4}))
+        for cmd in READERS:
+            assert run([cmd, path]) == 2, cmd
+        # Shaped like a p = 4 set, so only the primality check can reject it.
+        fake = str(tmp_path / "p4.json")
+        json.dump({"length": 12, "denom": 4, "provenance": {"family": "c", "p": 4},
+                   "sequences": [[(n * t) % 4 for t in range(12)] for n in range(4)]},
+                  open(fake, "w"))
+        capsys.readouterr()
+        for cmd in READERS:
+            assert run([cmd, fake]) == 2, cmd
+            assert "not an odd prime" in capsys.readouterr().err
+
+    def test_string_parameter_exits_2(self, set_files, tmp_path):
+        path = _edited(set_files["b"], tmp_path, lambda d: d["provenance"].update(K="4"))
+        for cmd in READERS:
+            assert run([cmd, path]) == 2, cmd
+
+    def test_unknown_family_exits_2(self, set_files, tmp_path, capsys):
+        path = _edited(set_files["b"], tmp_path, lambda d: d["provenance"].update(family="d"))
+        for cmd in READERS:
+            assert run([cmd, path]) == 2, cmd
+            assert "unknown family" in capsys.readouterr().err
+
+    def test_malformed_document_exits_2(self, set_files, tmp_path):
+        for edit in (lambda d: d.update(provenance=[1, 2]),
+                     lambda d: d["sequences"].__setitem__(0, 5)):
+            path = _edited(set_files["b"], tmp_path, edit)
+            for cmd in READERS:
+                assert run([cmd, path]) == 2, cmd
+
+    def test_relaxed_comb_set_loads_and_fails_honestly(self, tmp_path):
+        # Load does not enforce gcd(P, N*K) = 1; the certificate finds the
+        # cyclically equivalent pair that the waived condition lets through.
+        path, cert_path = str(tmp_path / "relaxed.json"), str(tmp_path / "cert.json")
+        assert run(["gen", "b", "--K", "3", "--N", "2", "--P", "2", "--relaxed", "-o", path]) == 0
+        assert run(["verify", path, "-o", cert_path]) == 1
+        cert = json.load(open(cert_path))
+        assert cert["witnesses"] == [{"kind": "cyclic_equivalence", "pair_and_shift": [0, 1, 8]}]
+
+
+_BASES = [set_to_dict(s) for s in (
+    construct_a(1, 5, 2, power_permutation(5, 3)),
+    construct_b(2, 3, 1),
+    construct_c(5, exp_mapping(5, 2)),
+)]
+_ANY = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 40), st.integers(min_value=10**12),
+    st.floats(), st.text(max_size=4), st.lists(st.integers(-2, 5), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+_MUTATION = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(["length", "denom", "sequences", "provenance"])),
+    st.tuples(st.just("drop_param"), st.sampled_from(["family", "M", "N", "K", "P", "p"])),
+    st.tuples(st.just("retype"), st.sampled_from(["length", "denom", "sequences", "provenance"]),
+              _ANY),
+    st.tuples(st.just("param"), st.sampled_from(["family", "M", "N", "K", "P", "p"]), _ANY),
+    st.tuples(st.just("family"), st.text(max_size=3)),
+    st.tuples(st.just("non_prime_p"), st.sampled_from([1, 4, 9, 15, 21, 25])),
+    st.tuples(st.just("row"), st.integers(0, 2), _ANY),
+)
+
+
+def _mutate(doc, mutation):
+    kind, *rest = mutation
+    prov = doc.get("provenance")
+    if kind == "drop":
+        doc.pop(rest[0], None)
+    elif kind == "drop_param" and isinstance(prov, dict):
+        prov.pop(rest[0], None)
+    elif kind == "retype":
+        doc[rest[0]] = rest[1]
+    elif kind == "param" and isinstance(prov, dict):
+        prov[rest[0]] = rest[1]
+    elif kind == "family":
+        doc["provenance"] = dict(prov) if isinstance(prov, dict) else {}
+        doc["provenance"]["family"] = rest[0]
+    elif kind == "non_prime_p":
+        doc["provenance"] = {"family": "c", "p": rest[0]}
+    elif kind == "row" and isinstance(doc.get("sequences"), list) and doc["sequences"]:
+        doc["sequences"][rest[0] % len(doc["sequences"])] = rest[1]
+
+
+class TestFuzzedDocuments:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(base=st.sampled_from(range(len(_BASES))),
+           mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+    def test_readers_exit_0_1_or_2(self, base, mutations, capsys):
+        doc = json.loads(json.dumps(_BASES[base]))
+        for mutation in mutations:
+            _mutate(doc, mutation)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "set.json")
+            with open(path, "w") as f:
+                json.dump(doc, f)
+            for cmd in READERS:
+                assert main([cmd, path]) in (0, 1, 2), (cmd, doc)
+        capsys.readouterr()

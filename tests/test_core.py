@@ -179,6 +179,14 @@ class TestJsonInterchange:
             set_from_dict({"denom": 4, "sequences": [[0, 1]]})
         with pytest.raises(ValueError):
             set_from_dict({"length": 3, "denom": 4, "sequences": [[0, 1]]})
+        with pytest.raises(ValueError):
+            set_from_dict({"length": 2, "denom": 4, "sequences": [[0, 1]], "provenance": [1, 2]})
+        with pytest.raises(ValueError):
+            set_from_dict({"length": 2, "denom": 4, "sequences": [5]})
+        with pytest.raises(ValueError):
+            set_from_dict({"length": 2, "denom": 4, "sequences": 7})
+        with pytest.raises(ValueError):
+            set_from_dict({"length": 2, "denom": 4, "sequences": [[0, None]]})
 
 
 class TestDelayDopplerZone:
