@@ -237,20 +237,22 @@ def verify_zcz(sset: SequenceSet, z: int, tol: Optional[float] = None) -> bool:
 
     Checks the three-branch condition: peak L at (n, n, 0), zero for
     0 < |tau| < z on every autocorrelation, zero for |tau| < z on every
-    cross-correlation, all within tol (default ``zero_tolerance(L)``).
+    cross-correlation, all within tol (default ``zero_tolerance(L)``). Each
+    delay takes one (N, L) x (L, N) product of the values matrix.
     """
     L = sset.length
     if not 1 <= z <= L:
         raise ValueError(f"zone width {z} outside [1, {L}]")
     if tol is None:
         tol = zero_tolerance(L)
-    for n, s in enumerate(sset.sequences):
-        for n2, s2 in enumerate(sset.sequences):
-            for tau in range(-z + 1, z):
-                value = abs(cf(s, s2, tau))
-                if n == n2 and tau == 0:
-                    if abs(value - L) > tol:
-                        return False
-                elif value > tol:
-                    return False
+    values = sset.values_matrix()
+    for tau in range(-z + 1, z):
+        # corr[n, n2] = cf(s_n, s_n2, tau) for every ordered pair at once
+        corr = np.abs(values @ np.conj(np.roll(values, -tau, axis=1)).T)
+        if tau == 0:
+            if np.any(np.abs(np.diagonal(corr) - L) > tol):
+                return False
+            np.fill_diagonal(corr, 0.0)
+        if np.any(corr > tol):
+            return False
     return True

@@ -1,9 +1,11 @@
 """Whole-set certifications: spectral nulls, cyclic distinctness, certificates.
 
 The spectral checks verify the comb structure of family B (shared null set,
-flat magnitude on the common support); the distinctness check proves no set
-member is a phase-rotated cyclic shift of another, in exact integer
-arithmetic; ``certify`` bundles everything into one JSON-able certificate.
+flat magnitude on the common support) on one batched DFT of the set; the
+distinctness check proves no set member is a phase-rotated cyclic shift of
+another, in exact integer arithmetic and O(N*L) time, by keying each
+member's phase-difference sequence with its least rotation; ``certify``
+bundles everything into one JSON-able certificate.
 It is the only builder of certificates: claims, closed-form ratio and
 null set come from the family table ``constructions.FAMILIES``.
 """
@@ -16,9 +18,9 @@ from typing import Optional
 import numpy as np
 
 from . import bounds
-from .ambiguity import dft, sidelobe_stats, verify_zcz, zero_tolerance
+from .ambiguity import sidelobe_stats, verify_zcz, zero_tolerance
 from .constructions import SpectralNullSet, lookup, omega_for_b
-from .core import DelayDopplerZone, SequenceSet
+from .core import DelayDopplerZone, SequenceSet, cyclic_shift_ratio
 
 __all__ = [
     "SpectralNullSet",
@@ -48,9 +50,7 @@ def verify_spectral_null(
         return True
     if tol is None:
         tol = spectral_tolerance(sset.length)
-    total = np.zeros(sset.length)
-    for s in sset.sequences:
-        total += np.abs(dft(s).values) ** 2
+    total = np.sum(np.abs(sset.duals()) ** 2, axis=0)
     return bool(np.all(total[list(omega.forbidden)] <= tol))
 
 
@@ -73,12 +73,33 @@ def verify_comb_magnitude(
         raise ValueError("parameters do not match the set length")
     keep = np.ones(sset.length, dtype=bool)
     keep[list(omega.forbidden)] = False
-    expected = sqrt(k + p_off / n)
-    for s in sset.sequences:
-        mags = np.abs(dft(s).values[keep])
-        if not np.all(np.abs(mags - expected) <= tol):
-            return False
-    return True
+    mags = np.abs(sset.duals()[:, keep])
+    return bool(np.all(np.abs(mags - sqrt(k + p_off / n)) <= tol))
+
+
+def _least_rotation(s: list) -> int:
+    """Offset r whose rotation s[r:] + s[:r] is lexicographically least.
+
+    Booth's O(L) algorithm (K. S. Booth, "Lexicographically least circular
+    substrings", Inf. Process. Lett. 10(4), 1980) on the doubled string.
+    """
+    ss = s + s
+    fail = [-1] * len(ss)
+    k = 0
+    for j in range(1, len(ss)):
+        c = ss[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != ss[k + i + 1]:
+            if c < ss[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and c != ss[k]:
+            if c < ss[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k % len(s)
 
 
 def verify_cyclically_distinct(
@@ -86,23 +107,35 @@ def verify_cyclically_distinct(
 ) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Whether no member is a constant-phase cyclic shift of another.
 
-    Exact integer arithmetic: for a pair (i, j) and shift tau, equivalence
-    means the phase-difference sequence is constant mod D. Returns
-    (True, None) or (False, (i, j, tau)) with the first witness, where
-    sequences[i](t) = sequences[j](<t+tau>) * w_D^c for some c.
+    Exact integer arithmetic on the difference sequences
+    delta(t) = a(<t+1>_L) - a(t) mod D: a(t) = b(<t+tau>_L) * w_D^c for some
+    c if and only if delta_a(t) = delta_b(<t+tau>_L) for all t. Each delta is
+    keyed by its least rotation, starting at offset r, so equivalent members
+    share a key and the check costs O(N*L) time and memory.
+
+    Returns (True, None) or (False, (i, j, tau)) with
+    sequences[i](t) = sequences[j](<t+tau>) * w_D^c: i is the smallest index
+    with an equivalent partner, j the next member of its key, and tau the
+    smallest matching shift, (r_j - r_i) mod P for P the smallest period of
+    the key. The witness is confirmed with ``cyclic_shift_ratio``.
     """
-    L, D = sset.length, sset.denom
     phases = np.array([s.phases for s in sset.sequences], dtype=np.int64)
-    # shift_index[tau, t] = (t + tau) mod L
-    shift_index = (np.arange(L)[None, :] + np.arange(L)[:, None]) % L
-    for i in range(sset.size):
-        for j in range(i + 1, sset.size):
-            diffs = (phases[i][None, :] - phases[j][shift_index]) % D
-            constant = np.all(diffs == diffs[:, :1], axis=1)
-            if np.any(constant):
-                tau = int(np.nonzero(constant)[0][0])
-                return False, (i, j, tau)
-    return True, None
+    deltas = ((np.roll(phases, -1, axis=1) - phases) % sset.denom).tolist()
+    offsets, buckets = [], {}
+    for n, delta in enumerate(deltas):
+        r = _least_rotation(delta)
+        offsets.append(r)
+        buckets.setdefault(tuple(delta[r:] + delta[:r]), []).append(n)
+    colliding = [(members[:2], key) for key, members in buckets.items() if len(members) > 1]
+    if not colliding:
+        return True, None
+    (i, j), key = min(colliding)
+    L = len(key)
+    period = next(p for p in range(1, L + 1) if L % p == 0 and key[p:] == key[:L - p])
+    tau = (offsets[j] - offsets[i]) % period
+    if cyclic_shift_ratio(sset.sequences[i], sset.sequences[j], tau) is None:
+        raise RuntimeError(f"distinctness witness {(i, j, tau)} is not an equivalence")
+    return False, (i, j, tau)
 
 
 def certify(

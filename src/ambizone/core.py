@@ -133,6 +133,19 @@ class SequenceSet:
         """Complex matrix of shape (N, L), one row per sequence."""
         return np.vstack([s.evaluate() for s in self.sequences])
 
+    def duals(self) -> np.ndarray:
+        """Unitary DFT of every sequence, shape (N, L), one row per sequence.
+
+        Computed on first use and kept on the (immutable) set, read-only, so
+        that the spectral checks of one certificate share it.
+        """
+        duals = self.__dict__.get("_duals")
+        if duals is None:
+            duals = np.fft.fft(self.values_matrix(), axis=1) / np.sqrt(self.length)
+            duals.flags.writeable = False
+            object.__setattr__(self, "_duals", duals)
+        return duals
+
 
 @dataclass(frozen=True)
 class DelayDopplerZone:
@@ -244,16 +257,20 @@ def set_from_dict(data: dict) -> SequenceSet:
     from .constructions import check_provenance  # deferred: it imports this module
 
     try:
-        length = int(data["length"])
-        denom = int(data["denom"])
+        length, denom = data["length"], data["denom"]
         rows = [list(row) for row in data["sequences"]]
         provenance = {"family": "external", **(data.get("provenance") or {})}
-        seqs = [PhaseSequence(denom, tuple(int(p) for p in row)) for row in rows]
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed sequence-set document: {exc}") from exc
+    for name, value in (("length", length), ("denom", denom)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     for k, row in enumerate(rows):
         if len(row) != length:
             raise ValueError(f"sequence {k} has {len(row)} phases, header says {length}")
+        if not all(type(p) is int for p in row):
+            raise ValueError(f"sequence {k} has a phase that is not an integer")
+    seqs = [PhaseSequence(denom, tuple(row)) for row in rows]
     check_provenance(provenance, len(seqs), length, denom)
     return SequenceSet(tuple(seqs), provenance)
 

@@ -301,3 +301,28 @@ class TestVerifyZcz:
             verify_zcz(comb_set, 0)
         with pytest.raises(ValueError):
             verify_zcz(comb_set, 106)
+
+    def test_agrees_with_scalar_cf_loop(self):
+        def zcz_by_cf(sset, z, tol):
+            L = sset.length
+            for n, s in enumerate(sset.sequences):
+                for n2, s2 in enumerate(sset.sequences):
+                    for tau in range(-z + 1, z):
+                        value = abs(cf(s, s2, tau))
+                        peak = n == n2 and tau == 0
+                        if (abs(value - L) if peak else value) > tol:
+                            return False
+            return True
+
+        sset = construct_a(1, 5, 1, power_permutation(5, 3))
+        phases = list(sset.sequences[2].phases)
+        phases[7] += 1
+        moved = SequenceSet(
+            sset.sequences[:2] + (PhaseSequence(sset.denom, tuple(phases)),) + sset.sequences[3:]
+        )
+        tol = zero_tolerance(sset.length)
+        for s in (sset, moved):
+            verdicts = [verify_zcz(s, z) for z in range(1, s.length + 1)]
+            assert verdicts == [zcz_by_cf(s, z, tol) for z in range(1, s.length + 1)]
+        assert verify_zcz(sset, 5) and not verify_zcz(sset, 6)
+        assert not verify_zcz(moved, 1)

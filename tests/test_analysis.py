@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ambizone import (
     DelayDopplerZone,
     PhaseSequence,
     SequenceSet,
     certify,
+    construct_a,
     construct_b,
+    construct_c,
+    cyclic_shift_ratio,
     dft,
+    exp_mapping,
     omega_for_b,
+    power_permutation,
     spectral_tolerance,
     verify_comb_magnitude,
     verify_cyclically_distinct,
@@ -134,8 +140,6 @@ class TestVerifyCyclicallyDistinct:
         assert witness == (0, 2, 13)
         i, j, tau = witness
         # The witness genuinely exhibits the equivalence.
-        from ambizone import cyclic_shift_ratio
-
         assert cyclic_shift_ratio(mutated.sequences[i], mutated.sequences[j], tau) is not None
 
     def test_rotated_duplicate_detected(self, laz_p5_set):
@@ -161,6 +165,106 @@ class TestVerifyCyclicallyDistinct:
         ok, witness = verify_cyclically_distinct(sset)
         assert not ok
         assert witness == (0, 1, 4)
+
+
+def distinct_by_brute_force(sset):
+    """First (i, j, tau) in lexicographic order with a constant phase ratio."""
+    seqs = sset.sequences
+    for i in range(sset.size):
+        for j in range(i + 1, sset.size):
+            for tau in range(sset.length):
+                if cyclic_shift_ratio(seqs[i], seqs[j], tau) is not None:
+                    return False, (i, j, tau)
+    return True, None
+
+
+@st.composite
+def sets_with_planted_copies(draw):
+    """Small sets whose rows are random, periodic, linear (constant or nearly
+    constant difference sequence) or shifted and rotated copies of earlier rows."""
+    length, denom = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    phase = st.integers(0, denom - 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["random", "periodic", "linear", "copy", "copy"]))
+        if kind == "copy" and rows:
+            row = draw(st.sampled_from(rows))
+            row = row.cyclic_shift(draw(st.integers(0, length - 1))).rotated(draw(phase))
+        elif kind == "periodic":
+            periods = [p for p in range(1, length) if length % p == 0] or [1]
+            period = draw(st.sampled_from(periods))
+            base = draw(st.lists(phase, min_size=period, max_size=period))
+            row = PhaseSequence(denom, tuple(base[t % period] for t in range(length)))
+        elif kind == "linear":
+            start, step = draw(phase), draw(phase)
+            row = PhaseSequence(denom, tuple(start + step * t for t in range(length)))
+        else:
+            row = PhaseSequence(denom, tuple(draw(st.lists(phase, min_size=length,
+                                                           max_size=length))))
+        rows.append(row)
+    return SequenceSet(tuple(rows))
+
+
+@pytest.fixture(scope="module")
+def laz_p61_set():
+    """61 sequences of length 3660 from the exponential mapping for p = 61."""
+    return construct_c(61, exp_mapping(61))
+
+
+class TestDistinctnessAgainstBruteForce:
+    @settings(max_examples=400, deadline=None)
+    @given(sset=sets_with_planted_copies())
+    def test_verdict_and_witness_match(self, sset):
+        assert verify_cyclically_distinct(sset) == distinct_by_brute_force(sset)
+
+    @settings(max_examples=200, deadline=None)
+    @given(period=st.integers(2, 4), repeats=st.integers(2, 3), denom=st.integers(2, 5),
+           data=st.data())
+    def test_periodic_copies_match(self, period, repeats, denom, data):
+        # Shifts of a periodic row match at several tau; only the smallest
+        # is the witness.
+        phase = st.integers(0, denom - 1)
+        base = data.draw(st.lists(phase, min_size=period, max_size=period))
+        row = PhaseSequence(denom, tuple(base * repeats))
+        copies = data.draw(st.lists(st.tuples(st.integers(0, period * repeats - 1), phase),
+                                    min_size=1, max_size=3))
+        sset = SequenceSet((row,) + tuple(row.cyclic_shift(s).rotated(c) for s, c in copies))
+        assert verify_cyclically_distinct(sset) == distinct_by_brute_force(sset)
+
+    def test_length_one_and_order_one(self):
+        # Every length-1 sequence, and every sequence over D = 1, is a
+        # constant multiple of any other of its length.
+        one = SequenceSet((PhaseSequence(5, (3,)), PhaseSequence(5, (1,))))
+        assert verify_cyclically_distinct(one) == (False, (0, 1, 0))
+        trivial = SequenceSet((PhaseSequence(1, (0,) * 6),) * 2)
+        assert verify_cyclically_distinct(trivial) == (False, (0, 1, 0))
+
+    def test_periodic_difference_takes_smallest_shift(self):
+        # Period 3: shifts 1, 4 and 7 all match; the witness names 1. The
+        # least rotation of a's difference sequence starts at offset 2, of
+        # b's at 0, so the offsets are reduced modulo the period, not L.
+        a = PhaseSequence(5, (1, 3, 0) * 3)
+        b = a.cyclic_shift(-7).rotated(4)
+        ok, witness = verify_cyclically_distinct(SequenceSet((a, b)))
+        assert (ok, witness) == (False, (0, 1, 1))
+        assert cyclic_shift_ratio(a, b, 1) == 1
+
+    def test_large_family_a_is_distinct(self):
+        sset = construct_a(2, 31, 3, power_permutation(31, 7))
+        assert (sset.size, sset.length) == (62, 1922)
+        assert verify_cyclically_distinct(sset) == (True, None)
+
+    def test_large_family_c_is_distinct(self, laz_p61_set):
+        assert verify_cyclically_distinct(laz_p61_set) == (True, None)
+
+    def test_large_family_c_planted_copy(self, laz_p61_set):
+        seqs = list(laz_p61_set.sequences)
+        seqs[40] = seqs[3].cyclic_shift(1000).rotated(2)
+        ok, witness = verify_cyclically_distinct(SequenceSet(tuple(seqs)))
+        assert not ok and witness[:2] == (3, 40)
+        tau = next(t for t in range(len(seqs[3].phases))
+                   if cyclic_shift_ratio(seqs[3], seqs[40], t) is not None)
+        assert witness[2] == tau == 3660 - 1000
 
 
 class TestCertify:

@@ -315,6 +315,14 @@ class TestProvenanceValidatedAtLoad:
             for cmd in READERS:
                 assert run([cmd, path]) == 2, cmd
 
+    def test_non_integer_phase_exits_2(self, set_files, tmp_path, capsys):
+        def truncatable(doc):
+            doc["sequences"][0][0] += 0.5
+
+        path = _edited(set_files["b"], tmp_path, truncatable)
+        assert run(["verify", path]) == 2
+        assert "not an integer" in capsys.readouterr().err
+
     def test_relaxed_comb_set_loads_and_fails_honestly(self, tmp_path):
         # Load does not enforce gcd(P, N*K) = 1; the certificate finds the
         # cyclically equivalent pair that the waived condition lets through.

@@ -187,6 +187,18 @@ class TestJsonInterchange:
             set_from_dict({"length": 2, "denom": 4, "sequences": 7})
         with pytest.raises(ValueError):
             set_from_dict({"length": 2, "denom": 4, "sequences": [[0, None]]})
+        # Non-integer phases and header values are refused, not truncated.
+        with pytest.raises(ValueError, match="not an integer"):
+            set_from_dict({"length": 4, "denom": 5, "sequences": ["0123", [0.9, 1.5, 2.7, 3.2]]})
+        with pytest.raises(ValueError, match="not an integer"):
+            set_from_dict({"length": 2, "denom": 4, "sequences": [[0, 1], [0.9, 1.5]]})
+        with pytest.raises(ValueError, match="not an integer"):
+            set_from_dict({"length": 2, "denom": 4, "sequences": [[0, True]]})
+        for bad in (True, "12", 12.7):
+            for header in ("length", "denom"):
+                doc = {"length": 2, "denom": 12, "sequences": [[0, 1]], header: bad}
+                with pytest.raises(ValueError, match=f"{header} must be an integer"):
+                    set_from_dict(doc)
 
 
 class TestDelayDopplerZone:
