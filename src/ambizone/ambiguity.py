@@ -122,6 +122,13 @@ def af_via_frequency(a: PhaseSequence, b: PhaseSequence, tau: int, v: int) -> co
     return complex(np.sum(c * np.conj(np.roll(d, -v)) * np.exp(-2j * np.pi * (i + v) * tau / L)))
 
 
+def _lag_rows(x: np.ndarray, start: int, n: int) -> np.ndarray:
+    """(n, L) array whose row j is t -> x(<start + j + t>_L)."""
+    L = len(x)
+    window = x[np.arange(start, start + n + L - 1) % L]
+    return window[np.add.outer(np.arange(n), np.arange(L))]
+
+
 def af_surface(
     a: PhaseSequence,
     b: PhaseSequence,
@@ -132,35 +139,46 @@ def af_surface(
 ) -> AmbiguitySurface:
     """Ambiguity values on the inclusive grid tau_range x v_range.
 
-    ``method="direct"`` evaluates the defining sum (batched over Doppler
-    with a root-of-unity matrix); ``method="fft"`` uses the dual-product
-    identity, one FFT per Doppler row.
+    ``method="direct"`` evaluates the defining sum as matrix products of the
+    lag products a(t) * conj(b(<t+tau>_L)), one row per delay, by the
+    (L, n_v) Doppler matrix w_L^{t v}; ``method="fft"`` uses the
+    dual-product identity, one FFT per Doppler row. The phases t*v and
+    v*tau are reduced modulo L in integers and looked up in one table of
+    L-th roots of unity. Rows go in blocks of at most max(width, 64), where
+    width is the length of the other axis, so a full grid needs little more
+    transient memory than the Doppler matrix.
     """
     L = _check_pair(a, b)
     taus = _as_range(tau_range, L, "delay range")
     vs = _as_range(v_range, L, "Doppler range")
-    tau_arr = np.asarray(taus)
-    v_arr = np.asarray(vs)
+    n_tau, n_v = len(taus), len(vs)
+    v_arr = np.arange(vs.start, vs.stop)
+    roots = np.exp(2j * np.pi * np.arange(L) / L)
+    values = np.empty((n_tau, n_v), dtype=np.complex128)
 
     if method == "direct":
         av = a.evaluate()
-        bv = b.evaluate()
-        t = np.arange(L)
-        w = np.exp(2j * np.pi * np.outer(t, v_arr) / L)  # (L, n_v)
-        rows = np.empty((len(taus), len(vs)), dtype=np.complex128)
-        for k, tau in enumerate(taus):
-            rows[k] = (av * np.conj(np.roll(bv, -tau))) @ w
-        values = rows
+        conj_b = np.conj(b.evaluate())
+        k = np.multiply.outer(np.arange(L), v_arr)
+        k %= L
+        w = roots[k]  # (L, n_v): w_L^{t v}
+        del k
+        step = max(n_v, 64)
+        for lo in range(0, n_tau, step):
+            rows = _lag_rows(conj_b, taus.start + lo, min(step, n_tau - lo))
+            np.matmul(rows * av, w, out=values[lo:lo + step])
     elif method == "fft":
         c = dft(a).values
-        d = dft(b).values
-        tau_idx = tau_arr % L
-        cols = np.empty((len(vs), len(taus)), dtype=np.complex128)
-        for k, v in enumerate(vs):
-            g = c * np.conj(np.roll(d, -v))
-            by_tau = np.fft.fft(g)  # sum_i g(i) w_L^{-i tau} for tau = 0..L-1
-            cols[k] = by_tau[tau_idx] * np.exp(-2j * np.pi * v * tau_arr / L)
-        values = cols.T
+        conj_d = np.conj(dft(b).values)
+        tau_idx = np.arange(taus.start, taus.stop) % L
+        step = max(n_tau, 64)
+        for lo in range(0, n_v, step):
+            # row v: the FFT of c(i) * conj(d(<i+v>_L)) holds every tau = 0..L-1
+            rows = _lag_rows(conj_d, vs.start + lo, min(step, n_v - lo))
+            by_tau = np.fft.fft(rows * c, axis=1)[:, tau_idx]
+            k = np.multiply.outer(v_arr[lo:lo + step], -tau_idx)
+            k %= L
+            values[:, lo:lo + step] = (by_tau * roots[k]).T
     else:
         raise ValueError(f"unknown method {method!r} (expected 'direct' or 'fft')")
 

@@ -206,15 +206,10 @@ def exp_mapping(p: int, alpha: Optional[int] = None) -> MappingPi:
     """The mapping x -> alpha^x mod p for a primitive element alpha.
 
     Defaults to the smallest primitive element; pass ``alpha`` to pin a
-    specific generator. Shift-injectivity is re-verified for p <= 101.
+    specific generator.
     """
     g = find_primitive_element(p, alpha)
-    pi = MappingPi(p, tuple(pow(g, x, p) for x in range(p - 1)))
-    if p <= 101:
-        ok, witness = validate_mapping(pi)
-        if not ok:  # cannot happen for a primitive element; defensive
-            raise RuntimeError(f"exponential mapping failed validation at {witness}")
-    return pi
+    return MappingPi(p, tuple(pow(g, x, p) for x in range(p - 1)))
 
 
 def time_index_parts_a(t: int, m: int, n: int) -> tuple[int, int, int]:

@@ -9,6 +9,7 @@ where a correlation or transform actually needs them.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import IO, Optional, Union
 
@@ -38,6 +39,8 @@ class PhaseSequence:
         Root-of-unity order D; every element is a D-th root of unity.
     phases : tuple of int
         Integer phase numerators; normalized into [0, D) on construction.
+        Anything ``operator.index`` accepts counts as an integer (numpy
+        integers too), except ``bool``; other values raise ValueError.
     """
 
     denom: int
@@ -48,18 +51,30 @@ class PhaseSequence:
             raise ValueError(f"root-of-unity order must be positive, got {self.denom}")
         if len(self.phases) == 0:
             raise ValueError("sequence must contain at least one element")
-        object.__setattr__(
-            self, "phases", tuple(int(p) % self.denom for p in self.phases)
-        )
+        try:
+            ints = list(map(operator.index, self.phases))
+        except TypeError as exc:
+            raise ValueError(f"phases must be integers: {exc}") from None
+        if bool in set(map(type, self.phases)):
+            raise ValueError("phases must be integers, not bool")
+        object.__setattr__(self, "phases", tuple([p % self.denom for p in ints]))
 
     @property
     def length(self) -> int:
         return len(self.phases)
 
     def evaluate(self) -> np.ndarray:
-        """Materialize the complex elements exp(2j*pi*phases/denom)."""
-        ph = np.asarray(self.phases, dtype=np.float64)
-        return np.exp(2j * np.pi * ph / self.denom)
+        """The complex elements exp(2j*pi*phases/denom), read-only.
+
+        Computed on first use and kept on the (immutable) sequence.
+        """
+        values = self.__dict__.get("_values")
+        if values is None:
+            ph = np.asarray(self.phases, dtype=np.float64)
+            values = np.exp(2j * np.pi * ph / self.denom)
+            values.flags.writeable = False
+            object.__setattr__(self, "_values", values)
+        return values
 
     def cyclic_shift(self, shift: int) -> "PhaseSequence":
         """The sequence t -> a(<t + shift>_L)."""

@@ -14,7 +14,9 @@ from ambizone import (
     af_via_frequency,
     cf,
     construct_a,
+    construct_c,
     dft,
+    exp_mapping,
     power_permutation,
     sidelobe_stats,
     verify_zcz,
@@ -46,6 +48,43 @@ def pairs_with_grid_point(draw, max_len=16, max_denom=12):
     tau = draw(st.integers(-length + 1, length - 1))
     v = draw(st.integers(-length + 1, length - 1))
     return a, b, tau, v
+
+
+@st.composite
+def pairs_with_grid(draw, max_len=16, max_denom=12):
+    """Two sequences and an inclusive (tau, v) grid: random, one row, one
+    column or the full (-L+1, L-1) square."""
+    denom = draw(st.integers(1, max_denom))
+    length = draw(st.integers(1, max_len))
+    ints = st.integers(0, denom - 1)
+    a = PhaseSequence(denom, tuple(draw(st.lists(ints, min_size=length, max_size=length))))
+    b = PhaseSequence(denom, tuple(draw(st.lists(ints, min_size=length, max_size=length))))
+    lag = st.integers(-length + 1, length - 1)
+
+    def span():
+        return tuple(sorted((draw(lag), draw(lag))))
+
+    def point():
+        x = draw(lag)
+        return x, x
+
+    full = (-length + 1, length - 1)
+    shape = draw(st.sampled_from(["random", "row", "column", "full"]))
+    taus, vs = {
+        "random": lambda: (span(), span()),
+        "row": lambda: (point(), span()),
+        "column": lambda: (span(), point()),
+        "full": lambda: (full, full),
+    }[shape]()
+    return a, b, taus, vs
+
+
+def assert_surface_matches_oracle(a, b, taus, vs, method):
+    surf = af_surface(a, b, taus, vs, method=method)
+    assert surf.values.shape == (taus[1] - taus[0] + 1, vs[1] - vs[0] + 1)
+    for i, tau in enumerate(range(taus[0], taus[1] + 1)):
+        for j, v in enumerate(range(vs[0], vs[1] + 1)):
+            assert abs(surf.values[i, j] - af_slow(a, b, tau, v)) <= 1e-9 * a.length
 
 
 class TestAf:
@@ -215,6 +254,34 @@ class TestAfSurface:
         surf = af_surface(s0, s1, (-4, 4), (-3, 3))
         assert np.max(surf.magnitudes()) <= zero_tolerance(105)
 
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=pairs_with_grid())
+    def test_matches_slow_oracle_on_every_grid_point(self, method, case):
+        assert_surface_matches_oracle(*case, method)
+
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (PhaseSequence(3, (2,)), PhaseSequence(3, (1,))),  # L = 1
+            (PhaseSequence(1, (0,) * 6), PhaseSequence(1, (0,) * 6)),  # D = 1
+        ],
+    )
+    def test_matches_slow_oracle_on_degenerate_sets(self, method, a, b):
+        full = (-a.length + 1, a.length - 1)
+        assert_surface_matches_oracle(a, b, full, full, method)
+
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    def test_matches_slow_oracle_across_row_blocks(self, method):
+        # 2L-1 = 199 delays against one Doppler bin, and the transpose, are
+        # longer than one block of rows in either branch.
+        rng = np.random.default_rng(7)
+        a = PhaseSequence(11, tuple(rng.integers(0, 11, 100)))
+        b = PhaseSequence(11, tuple(rng.integers(0, 11, 100)))
+        assert_surface_matches_oracle(a, b, (-99, 99), (3, 3), method)
+        assert_surface_matches_oracle(a, b, (-2, -2), (-99, 99), method)
+
     def test_single_point_grid(self):
         seq = PhaseSequence(5, (0, 1, 2, 3, 4))
         surf = af_surface(seq, seq, (0, 0), (0, 0))
@@ -270,6 +337,28 @@ class TestSidelobeStats:
                             full_cross = max(full_cross, mag)
         assert stats.theta_auto == pytest.approx(full_auto, abs=1e-9)
         assert stats.theta_cross == pytest.approx(full_cross, abs=1e-9)
+
+    def test_argmax_reproduces_theta_on_family_c_claimed_zone(self):
+        sset = construct_c(7, exp_mapping(7))
+        stats = sidelobe_stats(sset, DelayDopplerZone(6, 7))
+        assert stats.theta_max == pytest.approx(7.0, abs=zero_tolerance(sset.length))
+        self.assert_argmax_reproduces_theta(sset, stats)
+
+    def test_argmax_reproduces_theta_on_random_set(self):
+        # Family C ties its maxima at many points; here they are unique.
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 5, size=(4, 13))
+        sset = SequenceSet(tuple(PhaseSequence(5, tuple(r)) for r in rows))
+        self.assert_argmax_reproduces_theta(sset, sidelobe_stats(sset, DelayDopplerZone(5, 4)))
+
+    @staticmethod
+    def assert_argmax_reproduces_theta(sset, stats):
+        L = sset.length
+        n, tau, v = stats.argmax_auto
+        s = sset.sequences
+        assert abs(abs(af(s[n], s[n], tau, v)) - stats.theta_auto) <= 1e-9 * L
+        n, n2, tau, v = stats.argmax_cross
+        assert abs(abs(af(s[n], s[n2], tau, v)) - stats.theta_cross) <= 1e-9 * L
 
     def test_degenerate_zone_single_sequence(self):
         sset = SequenceSet((PhaseSequence(1, (0, 0, 0, 0)),))

@@ -127,6 +127,19 @@ class TestExpMapping:
     def test_p7(self):
         assert exp_mapping(7).table == (1, 3, 2, 6, 4, 5)
 
+    def test_gen_c_validates_the_mapping_once(self, monkeypatch):
+        from ambizone import constructions
+
+        calls = []
+
+        def counting(pi, force=False):
+            calls.append(pi.p)
+            return validate_mapping(pi, force)
+
+        monkeypatch.setattr(constructions, "validate_mapping", counting)
+        construct_c(11, exp_mapping(11))
+        assert calls == [11]
+
 
 class TestValidateMapping:
     def test_exponential_mapping_passes(self):

@@ -57,9 +57,44 @@ class TestPhaseSequence:
     def test_evaluate_is_unimodular(self, seq):
         assert np.all(np.abs(np.abs(seq.evaluate()) - 1.0) < 1e-12)
 
+    def test_evaluate_is_memoized_read_only(self):
+        seq = PhaseSequence(7, (0, 3, 5, 1, 6))
+        twin = PhaseSequence(7, (0, 3, 5, 1, 6))
+        before = hash(seq)
+        values = seq.evaluate()
+        assert seq.evaluate() is values
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0
+        assert seq == twin and hash(seq) == hash(twin) == before
+        assert np.array_equal(twin.evaluate(), values)
+        assert repr(seq) == repr(twin)
+
     def test_phases_normalized_into_range(self):
         seq = PhaseSequence(5, (-1, 7, 5))
         assert seq.phases == (4, 2, 0)
+
+    def test_accepts_numpy_integer_phases(self):
+        seq = PhaseSequence(5, (np.int64(7), np.uint8(3), np.int32(-1)))
+        assert seq.phases == (2, 3, 4)
+        assert all(type(p) is int for p in seq.phases)
+
+    @pytest.mark.parametrize(
+        "phases",
+        [
+            (0.9, 2.7, True),
+            (0, 2.0, 1),
+            (0, np.float64(2), 1),
+            (0, True, 1),
+            (0, np.bool_(True), 1),
+            ("0", 1),
+            (0, None),
+            (0, 1 + 0j),
+        ],
+    )
+    def test_rejects_non_integer_phases(self, phases):
+        with pytest.raises(ValueError, match="integers"):
+            PhaseSequence(5, phases)
 
     def test_rejects_nonpositive_denom(self):
         with pytest.raises(ValueError):
